@@ -96,6 +96,13 @@ class BitwordSet {
       std::memset(words_.data(), 0, words_.size() * sizeof(u64));
   }
 
+  /// Intersect in place; both sets must share one universe.
+  BitwordSet& operator&=(const BitwordSet& rhs) noexcept {
+    assert(size_ == rhs.size_);
+    for (u64 w = 0; w < words_.size(); ++w) words_[w] &= rhs.words_[w];
+    return *this;
+  }
+
   /// Visit the index of every set bit in ascending order.
   template <class Fn>
   void for_each_set(Fn&& fn) const {

@@ -16,8 +16,10 @@
 //       CutThrough — a flit may leave a node one cycle after arriving
 //         (virtual cut-through): the train pipelines across the route and
 //         dilation adds only ~1 cycle per extra hop.
-//   * Arbitration is deterministic: lower message id first, flits closest
-//     to the destination first (no flit moves twice per cycle).
+//   * Arbitration is deterministic: messages in queue order (independent
+//     messages by id; a dependent joins the back of the queue when the
+//     message it waits on completes), flits closest to the destination
+//     first (no flit moves twice per cycle).
 //
 // The quality of an embedding shows up directly: dilation stretches routes
 // (latency, amplified by message size under store-and-forward), congestion

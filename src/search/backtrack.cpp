@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <random>
 
+#include "core/bitword.hpp"
 #include "core/hypercube.hpp"
-#include "search/bitset.hpp"
 
 namespace hj::search {
 namespace {
 
 /// Hamming ball of radius r around every cube node, as bitsets.
-std::vector<NodeSet> make_balls(u32 dim, u32 radius) {
+std::vector<BitwordSet> make_balls(u32 dim, u32 radius) {
   const u64 n = u64{1} << dim;
-  std::vector<NodeSet> balls(n, NodeSet(dim));
+  std::vector<BitwordSet> balls(n, BitwordSet(n));
   // Enumerate all masks of popcount <= radius once, then translate.
   std::vector<u64> offsets;
   offsets.push_back(0);
@@ -52,7 +52,8 @@ BacktrackResult backtrack_search(const Mesh& guest, u32 host_dim,
     return result;
   }
 
-  const std::vector<NodeSet> balls = make_balls(host_dim, opts.max_dilation);
+  const std::vector<BitwordSet> balls =
+      make_balls(host_dim, opts.max_dilation);
 
   // Earlier-placed neighbors of each node under row-major assignment order.
   std::vector<SmallVec<MeshIndex, 8>> prev(n_guest);
@@ -62,8 +63,8 @@ BacktrackResult backtrack_search(const Mesh& guest, u32 host_dim,
   });
 
   std::vector<CubeNode> assign(n_guest, 0);
-  NodeSet free(host_dim);
-  free.fill();
+  BitwordSet free(n_host);
+  for (CubeNode v = 0; v < n_host; ++v) free.set(v);
   std::vector<Frame> stack;
   stack.reserve(n_guest);
   u64 used_dims = 0;
@@ -74,11 +75,9 @@ BacktrackResult backtrack_search(const Mesh& guest, u32 host_dim,
     if (node == 0) {
       f.candidates.push_back(0);  // translation symmetry: phi(0) = 0
     } else {
-      NodeSet cand(host_dim);
-      cand.fill();
-      cand &= free;
+      BitwordSet cand = free;
       for (MeshIndex p : prev[node]) cand &= balls[assign[p]];
-      cand.for_each([&](CubeNode c) {
+      cand.for_each_set([&](CubeNode c) {
         if (opts.canonical_pruning) {
           const u64 fresh = c & ~used_dims;
           if (fresh) {
@@ -145,7 +144,7 @@ BacktrackResult backtrack_search(const Mesh& guest, u32 host_dim,
       result.map = assign;
       return result;
     }
-    free.reset(c);
+    free.clear(c);
     push_frame(static_cast<MeshIndex>(stack.size()));
   }
 

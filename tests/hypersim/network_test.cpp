@@ -63,6 +63,15 @@ TEST(Network, RejectsBrokenRoutes) {
   CubeNetwork net(SimConfig{2});
   EXPECT_THROW(net.add_message(CubePath{0, 3}), std::invalid_argument);
   EXPECT_THROW(net.add_message(CubePath{}), std::invalid_argument);
+  // Routes that leave Q2: an off-cube last node (0 -> 4 is one bit flip,
+  // but 4 is no Q2 node) and a lone off-cube node.
+  EXPECT_THROW(net.add_message(CubePath{0, 4}), std::invalid_argument);
+  EXPECT_THROW(net.add_message(CubePath{9}), std::invalid_argument);
+  EXPECT_EQ(net.pending(), 0u);
+  net.add_message(CubePath{1, 0});
+  const SimResult r = net.run();
+  EXPECT_EQ(r.cycles, 1u);
+  EXPECT_EQ(r.max_link_load, 1u);
 }
 
 TEST(Network, GrayStencilIsContentionLight) {
