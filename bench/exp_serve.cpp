@@ -6,8 +6,8 @@
 //
 //   * "latency" rows — exact p50/p99/mean request latency for cold
 //     serving (live planner, no store) vs warm serving (store hit +
-//     mandatory re-verify), memoization off so every request pays the
-//     full path it is labelled with.
+//     mandatory re-verify); each canonical shape is requested once, so
+//     every request pays the full path it is labelled with.
 //   * "split" rows — a request flood through the bounded admission
 //     queue: the warm/cold/degraded/shed verdict split must account for
 //     every request (shed is load shedding, not loss).
@@ -69,13 +69,11 @@ std::string latency_row(const char* mode, const std::vector<u64>& lat) {
 
 /// Latency distribution over every canonical shape. `store` == nullptr
 /// measures the cold path (live planner per request); with a store every
-/// request is a hit plus the mandatory re-verify. Memoization off so
-/// requests stay independent.
+/// request is a hit plus the mandatory re-verify. Each shape is requested
+/// once, so no request is answered from the serve cache.
 void run_latency(const char* mode, const store::PlanStore* st,
                  const std::vector<Shape>& shapes) {
-  store::ServeOptions opts;
-  opts.memoize = false;
-  store::Server server(st, opts, [] { return search::make_search_provider(); });
+  store::Server server(st, {}, [] { return search::make_search_provider(); });
   std::vector<u64> lat;
   lat.reserve(shapes.size());
   for (const Shape& s : shapes) {

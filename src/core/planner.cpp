@@ -30,14 +30,6 @@ SmallVec<u64, 16> divisors(u64 n) {
 
 u64 product_of(const Shape& s) { return s.num_nodes(); }
 
-PlanKey key_of(const Shape& shape, bool may_extend, cost::Objective obj) {
-  PlanKey k;
-  k.extents = shape.extents();
-  k.extend = may_extend;
-  k.objective = static_cast<u8>(obj);
-  return k;
-}
-
 cost::CostVector cost_of(const PlanCacheEntry& e) {
   return cost::CostVector{e.cube, e.dil, e.cong, e.wl};
 }
@@ -97,13 +89,6 @@ u64 ShardedPlanCache::size() const {
     n += s.map.size();
   }
   return n;
-}
-
-void ShardedPlanCache::clear() {
-  for (Shard& s : shards_) {
-    const std::unique_lock<std::shared_mutex> lock(s.mu);
-    s.map.clear();
-  }
 }
 
 Planner::Planner(PlannerOptions opts) : opts_(opts) {}
@@ -172,7 +157,7 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
         "planner.best_calls", obs::Kind::Timing);
     calls.add();
   }
-  const PlanKey key = key_of(shape, may_extend, opts_.objective);
+  const PlanKey key = PlanKey::of(shape, may_extend, opts_.objective);
   if (auto it = memo_.find(key); it != memo_.end()) {
     if (obs::enabled()) {
       static obs::Counter& hits = obs::Registry::global().counter(
@@ -224,7 +209,7 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
       }
     }
     if (incumbent.cube > minimal) try_factorizations(shape, incumbent);
-    if (incumbent.cube > minimal && may_extend && opts_.allow_extension) {
+    if (incumbent.cube > minimal && may_extend) {
       try_pattern_extension(shape, incumbent);
       if (incumbent.cube > minimal) try_extensions(shape, incumbent);
     }
@@ -363,7 +348,7 @@ PlanResult Planner::plan(const Shape& shape) {
                 cost::objective_name(opts_.objective))
         .add();
   }
-  Entry e = best(shape, opts_.allow_extension);
+  Entry e = best(shape, true);
   PlanResult out;
   out.embedding = e.emb;
   out.report = verify(*e.emb);
@@ -508,7 +493,7 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
 }
 
 bool Planner::achieves_minimal_dil2(const Shape& shape) {
-  Entry e = best(shape, opts_.allow_extension);
+  Entry e = best(shape, true);
   return e.cube == shape.minimal_cube_dim() && e.dil <= 2;
 }
 
@@ -561,10 +546,11 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
   std::vector<Shape> uniq;
   std::vector<std::size_t> canon_of(shapes.size());
   {
-    std::unordered_map<std::string, std::size_t> slot;
+    std::unordered_map<PlanKey, std::size_t, PlanKeyHash> slot;
     for (std::size_t i = 0; i < shapes.size(); ++i) {
       Shape canon = shapes[i].sorted();
-      const auto [it, fresh] = slot.try_emplace(canon.to_string(), uniq.size());
+      const auto [it, fresh] = slot.try_emplace(
+          PlanKey::of(canon, true, opts.objective), uniq.size());
       if (fresh) uniq.push_back(std::move(canon));
       canon_of[i] = it->second;
     }

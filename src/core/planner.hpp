@@ -55,8 +55,6 @@ using DegradeProvider = std::function<std::optional<DegradedPlan>(
     const Shape&, u32, const FaultSet&)>;
 
 struct PlannerOptions {
-  /// Try axis extensions (strategy 3 of Section 4.2).
-  bool allow_extension = true;
   /// Guests at most this large are offered to the direct provider.
   u64 provider_max_nodes = 150;
   /// Ranking order for candidate plans. The Lexicographic default is the
@@ -92,14 +90,16 @@ struct PlanCacheEntry {
   u32 cong = 0;
   u64 wl = 0;
   bool measured = false;
+  /// The finished, verify()-certified reply; set only by the serve path
+  /// (store::Server), null in the planner's sub-plan entries.
+  std::shared_ptr<const PlanResult> certified;
 };
 
-/// Packed memo key: the shape extents plus the extension flag. The memo
-/// used to key on `shape.to_string() + flag`, which cost a heap
-/// allocation and digit formatting per best() probe — and the
-/// factorization odometer probes thousands of times per planned shape.
-/// Integer extents hash and compare allocation-free (rank <= 4 stays
-/// entirely inline).
+/// Packed plan key: shape extents, extension flag and objective. Integer
+/// extents hash and compare allocation-free (rank <= 4 stays inline), so
+/// the thousands of best() probes of one factorization odometer cost no
+/// heap allocation. The key type of every plan-keyed map: the planner
+/// memo, the ShardedPlanCache, plan_batch's dedup and the serve cache.
 struct PlanKey {
   SmallVec<u64, 4> extents;
   bool extend = false;
@@ -107,6 +107,13 @@ struct PlanKey {
   /// ranked under different objectives are different values, and the
   /// shared cache must never serve one objective's plan to another.
   u8 objective = 0;
+
+  /// Key of `shape` in its given axis order. plan() probes extend=true,
+  /// the factor and extension recursion extend=false.
+  [[nodiscard]] static PlanKey of(const Shape& shape, bool extend,
+                                  cost::Objective objective) {
+    return PlanKey{shape.extents(), extend, static_cast<u8>(objective)};
+  }
 
   friend bool operator==(const PlanKey& a, const PlanKey& b) noexcept {
     return a.extend == b.extend && a.objective == b.objective &&
@@ -138,17 +145,20 @@ struct PlanKeyHash {
 /// planner of a shape takes a shard's exclusive lock.
 ///
 /// Purity invariant: keys carry no fault information, so ONLY fault-free
-/// canonical plans may be stored. Planner::best() is the sole writer;
-/// plan_avoiding() and the fault-aware plan_batch overload treat their
-/// fault-constrained results as uncacheable (see the audit comment in
-/// planner.cpp).
+/// canonical plans may be stored. The writers are Planner::best() and
+/// store::Server; plan_avoiding() and the fault-aware plan_batch
+/// overload treat their fault-constrained results as uncacheable (see
+/// the audit comment in planner.cpp). The server writes extend=true keys
+/// only, and their plan may be a re-verified store record rather than a
+/// planner's. That is safe because the factor and extension recursion
+/// probes extend=false keys only, so such an entry is never a factor of
+/// another shape's plan.
 class ShardedPlanCache {
  public:
   [[nodiscard]] std::optional<PlanCacheEntry> get(const PlanKey& key) const;
   void put(const PlanKey& key, const PlanCacheEntry& entry);
   /// Total entries across shards (diagnostic; takes all shard locks).
   [[nodiscard]] u64 size() const;
-  void clear();
 
  private:
   static constexpr u32 kShards = 64;

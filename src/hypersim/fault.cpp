@@ -223,21 +223,33 @@ FaultSchedule FaultSchedule::random(u32 cube_dim, u32 node_events,
   FaultSchedule out;
   const u64 mask = (u64{1} << cube_dim) - 1;
   FaultSet taken;  // dedup: each event must name fresh hardware
+  // Fresh hardware left: live nodes, and unfailed links between live
+  // nodes. The retry loop ends only on a fresh draw, so an event with
+  // none left is rejected instead.
+  u64 fresh_nodes = u64{1} << cube_dim;
+  u64 fresh_links = u64{cube_dim} << (cube_dim - 1);
   u64 ctr = seed * 0x9e3779b97f4a7c15ull + 1;
   u64 cycle = first_cycle;
   for (u32 i = 0; i < node_events + link_events; ++i) {
     const bool want_node = i < node_events;
+    require(want_node ? fresh_nodes > 0 : fresh_links > 0,
+            "FaultSchedule::random: Q%u has no fresh %s left for event %u",
+            cube_dim, want_node ? "node" : "link", i + 1);
     for (;;) {
       const u64 r = mix64(ctr++);
       const CubeNode a = r & mask;
       if (want_node) {
         if (taken.node_failed(a)) continue;
+        for (u32 d = 0; d < cube_dim; ++d)
+          if (!taken.link_failed(a, a ^ (u64{1} << d))) --fresh_links;
         taken.fail_node(a);
+        --fresh_nodes;
         out.add_node_failure(cycle, a);
       } else {
         const CubeNode b = a ^ (u64{1} << (mix64(ctr++) % cube_dim));
         if (taken.link_failed(a, b)) continue;
         taken.fail_link(a, b);
+        --fresh_links;
         out.add_link_failure(cycle, a, b);
       }
       break;

@@ -192,8 +192,9 @@ class FaultSchedule {
 
   /// Seeded-deterministic random schedule inside Q_{cube_dim}:
   /// `node_events` + `link_events` distinct arrivals at cycles
-  /// first_cycle, first_cycle + spacing, ... (nodes and links
-  /// interleaved). Pure function of its arguments.
+  /// first_cycle, first_cycle + spacing, ... (node arrivals first, then
+  /// link arrivals). Pure function of its arguments; throws
+  /// std::invalid_argument when an event finds no fresh hardware left.
   [[nodiscard]] static FaultSchedule random(u32 cube_dim, u32 node_events,
                                             u32 link_events, u64 first_cycle,
                                             u64 spacing, u64 seed);

@@ -21,16 +21,6 @@ std::atomic<bool>& enabled_flag() {
 }
 #endif
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Buckets up to the last nonzero one, as a JSON array of
 /// [lower_bound, count] pairs (self-describing, viewer-friendly).
 void append_buckets_json(std::ostringstream& os, const HistogramSnapshot& h) {
@@ -46,6 +36,16 @@ void append_buckets_json(std::ostringstream& os, const HistogramSnapshot& h) {
 }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
+}
 
 #ifndef HJ_DISABLE_OBS
 bool enabled() noexcept {

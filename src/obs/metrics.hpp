@@ -157,6 +157,10 @@ struct HistogramSnapshot {
 /// published p50/p99 uses one formula.
 [[nodiscard]] u64 percentile(std::vector<u64> samples, double p) noexcept;
 
+/// `s` with every '"' and '\\' backslash-escaped: the string-value
+/// escaping of the metrics, trace and recovery-log JSON writers.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
 /// Fixed power-of-two-bucket histogram of u64 samples. Bucket 0 counts
 /// v == 0; bucket i (1 <= i < kBuckets-1) counts v in [2^(i-1), 2^i);
 /// the last bucket absorbs the overflow tail. Fixed bounds keep bucket

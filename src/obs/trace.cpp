@@ -2,21 +2,9 @@
 
 #include <sstream>
 
+#include "obs/metrics.hpp"
+
 namespace hj::obs {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 Trace& Trace::global() {
   static Trace t;

@@ -68,22 +68,22 @@ Server::Server(const PlanStore* store, ServeOptions opts,
   if (provider_factory) planner_.set_direct_provider(provider_factory());
 }
 
-PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
-                                  PhaseUs& ph) {
-  const std::string memo_key = canon.to_string();
-  if (opts_.memoize) {
-    const Clock::time_point t = Clock::now();
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = memo_.find(memo_key);
-    const bool hit = it != memo_.end();
-    ph.lookup_us += elapsed_us(t);
-    if (hit) {
-      verdict = Verdict::ServedWarm;
-      return it->second;
-    }
+std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
+                                                        Verdict& verdict,
+                                                        StoreProbe& probe,
+                                                        PhaseUs& ph) {
+  const PlanKey cache_key =
+      PlanKey::of(canon, /*extend=*/true, opts_.planner.objective);
+  const Clock::time_point t = Clock::now();
+  const std::optional<PlanCacheEntry> cached = cache_.get(cache_key);
+  ph.lookup_us += elapsed_us(t);
+  if (cached) {
+    verdict = Verdict::ServedWarm;
+    return cached->certified;
   }
 
   verdict = Verdict::ServedCold;
+  PlanResult res;
   if (store_ && canon.dims() <= kMaxRank) {
     const Key key = Key::of(canon);
     const Clock::time_point tl = Clock::now();
@@ -91,14 +91,11 @@ PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
     ph.lookup_us += elapsed_us(tl);
     switch (hit.status) {
       case PlanStore::Status::Hit: {
-        if (obs::enabled()) Counters::get().store_hits.add();
         // Never serve an uncertified plan: the on-disk certificate is
         // advisory only. Re-parse and re-verify before first use; a
         // record that parses but does not verify is as bad as a flipped
         // checksum and gets quarantined the same way.
         const Clock::time_point tv = Clock::now();
-        PlanResult res;
-        bool certified = false;
         try {
           const std::shared_ptr<ExplicitEmbedding> emb =
               io::from_text(hit.record.emb_text);
@@ -108,21 +105,15 @@ PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
               res.embedding = emb;
               res.report = std::move(report);
               res.plan = hit.record.plan;
-              certified = true;
+              verdict = Verdict::ServedWarm;
+              probe = StoreProbe::Hit;
             }
           }
         } catch (const std::exception&) {
           // fall through to quarantine + live planner
         }
         ph.verify_us += elapsed_us(tv);
-        if (certified) {
-          verdict = Verdict::ServedWarm;
-          if (opts_.memoize) {
-            std::lock_guard<std::mutex> lk(mu_);
-            memo_.emplace(memo_key, res);
-          }
-          return res;
-        }
+        if (verdict == Verdict::ServedWarm) break;
         store_->quarantine(key);
         if (obs::enabled()) Counters::get().store_corrupt.add();
         verdict = Verdict::Degraded;
@@ -133,35 +124,42 @@ PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
         verdict = Verdict::Degraded;
         break;
       case PlanStore::Status::Miss:
-        if (obs::enabled()) Counters::get().store_misses.add();
+        probe = StoreProbe::Miss;
         break;
     }
   }
 
-  // Live planner fallback (cold miss or degraded corruption path). The
-  // planner re-verifies its result by construction.
-  const Clock::time_point tp = Clock::now();
-  std::lock_guard<std::mutex> lk(mu_);
-  PlanResult res = planner_.plan(canon);
-  ph.plan_us += elapsed_us(tp);
-  if (opts_.memoize) memo_.emplace(memo_key, res);
-  return res;
+  if (verdict != Verdict::ServedWarm) {
+    // Live planner fallback (cold miss or degraded corruption path). The
+    // planner re-verifies its result by construction.
+    const Clock::time_point tp = Clock::now();
+    std::lock_guard<std::mutex> lk(mu_);
+    res = planner_.plan(canon);
+    ph.plan_us += elapsed_us(tp);
+  }
+  // First writer wins; a racing request computed the same plan anyway.
+  PlanCacheEntry entry;
+  entry.certified = std::make_shared<const PlanResult>(std::move(res));
+  cache_.put(cache_key, entry);
+  return entry.certified;
 }
 
 Reply Server::handle(const Shape& shape, u64 queue_us) {
   const Clock::time_point t0 = Clock::now();
   Reply rep;
   rep.phase.queue_us = queue_us;
+  StoreProbe probe = StoreProbe::None;
   try {
     require(shape.num_nodes() >= 1 && shape.num_nodes() <= (u64{1} << 26),
             "request too large: at most 2^26 mesh nodes");
     const Shape canon = shape.sorted();
     Verdict verdict = Verdict::ServedCold;
-    const PlanResult canon_plan = canonical_plan(canon, verdict, rep.phase);
+    const std::shared_ptr<const PlanResult> canon_plan =
+        canonical_plan(canon, verdict, probe, rep.phase);
     // Relabel to the requested axis order; relabel_plan re-verifies, so
     // the reply's certificate always covers the exact shape served.
     const Clock::time_point tr = Clock::now();
-    const PlanResult final_plan = relabel_plan(canon_plan, shape);
+    const PlanResult final_plan = relabel_plan(*canon_plan, shape);
     rep.phase.verify_us += elapsed_us(tr);
     rep.verdict = verdict;
     rep.ok = final_plan.report.valid;
@@ -190,6 +188,8 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
         case Verdict::Shed: stats_.shed += 1; break;
       }
     }
+    stats_.store_hits += probe == StoreProbe::Hit;
+    stats_.store_misses += probe == StoreProbe::Miss;
     if (store_) {
       stats_.store_corrupt = store_->quarantined_count();
     }
@@ -218,8 +218,10 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
     h_lookup.observe(rep.phase.lookup_us);
     h_verify.observe(rep.phase.verify_us);
     h_plan.observe(rep.phase.plan_us);
+    Counters& c = Counters::get();
+    if (probe == StoreProbe::Hit) c.store_hits.add();
+    if (probe == StoreProbe::Miss) c.store_misses.add();
     if (rep.ok) {
-      Counters& c = Counters::get();
       (rep.verdict == Verdict::ServedWarm ? c.serve_warm
        : rep.verdict == Verdict::Degraded ? c.serve_degraded
                                           : c.serve_cold)

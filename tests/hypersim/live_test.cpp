@@ -116,6 +116,55 @@ TEST(FaultSchedule, RandomIsSeedDeterministic) {
   EXPECT_EQ(nodes, 2u);
 }
 
+TEST(FaultSchedule, RandomRejectsExactlyTheRequestsWithNoFreshHardware) {
+  // The demo schedule of `hj_embed recover 2` (Q1, 2 node + 1 link
+  // events) cannot be drawn: with both nodes dead no live link is left.
+  EXPECT_THROW((void)FaultSchedule::random(1, 2, 1, 2, 6, 42),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultSchedule::random(1, 1, 1, 2, 6, 42),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultSchedule::random(1, 3, 0, 2, 6, 42),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultSchedule::random(1, 0, 2, 2, 6, 42),
+               std::invalid_argument);
+  EXPECT_EQ(FaultSchedule::random(1, 2, 0, 2, 6, 42).size(), 2u);
+  EXPECT_EQ(FaultSchedule::random(1, 0, 1, 2, 6, 42).size(), 1u);
+
+  // Exactness in Q1-Q3: node draws come first and do not depend on the
+  // link count, so the nodes a schedule kills are those of its node-only
+  // prefix. A request must succeed iff it fits the node count and the
+  // links left with both endpoints alive.
+  for (u32 n = 1; n <= 3; ++n) {
+    const u64 nodes = u64{1} << n;
+    for (u32 k = 0; k <= nodes; ++k) {
+      for (u64 seed = 0; seed < 8; ++seed) {
+        const FaultSchedule dead = FaultSchedule::random(n, k, 0, 0, 1, seed);
+        FaultSet killed;
+        for (const FaultEvent& e : dead.events()) killed.fail_node(e.a);
+        u64 live_links = 0;
+        for (CubeNode v = 0; v < nodes; ++v)
+          for (u32 d = 0; d < n; ++d) {
+            const CubeNode w = v ^ (u64{1} << d);
+            if (v < w && !killed.link_failed(v, w)) ++live_links;
+          }
+        for (u32 l = 0; l <= live_links + 1; ++l) {
+          if (l <= live_links) {
+            const FaultSchedule s = FaultSchedule::random(n, k, l, 0, 1, seed);
+            EXPECT_EQ(s.size(), u64{k} + l) << n << " " << k << " " << l;
+          } else {
+            EXPECT_THROW((void)FaultSchedule::random(n, k, l, 0, 1, seed),
+                         std::invalid_argument)
+                << n << " " << k << " " << l;
+          }
+        }
+      }
+      EXPECT_THROW((void)FaultSchedule::random(n, static_cast<u32>(nodes) + 1,
+                                               0, 0, 1, 0),
+                   std::invalid_argument);
+    }
+  }
+}
+
 // --- SimConfig validation ---------------------------------------------------
 
 TEST(LiveConfig, RejectsNonsensicalDetectionSettings) {

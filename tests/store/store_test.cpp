@@ -6,6 +6,7 @@
 // "never serve an uncertified plan".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include "core/io.hpp"
 #include "core/verify.hpp"
+#include "obs/metrics.hpp"
 #include "store/precompute.hpp"
 #include "store/serve.hpp"
 #include "store/store.hpp"
@@ -337,6 +339,15 @@ TEST(Serve, WarmColdAndRelabelVerdicts) {
   ASSERT_TRUE(precompute(path, opts).complete);
   const PlanStore store = PlanStore::open(path);
   Server server(&store);
+  // The registry's store counters come from the same increments as
+  // ServeStats, so with obs on their deltas match the stats exactly.
+  obs::set_enabled(true);
+  obs::Counter& reg_hits =
+      obs::Registry::global().counter("store.hits", obs::Kind::Timing);
+  obs::Counter& reg_misses =
+      obs::Registry::global().counter("store.misses", obs::Kind::Timing);
+  const u64 hits0 = reg_hits.value();
+  const u64 misses0 = reg_misses.value();
 
   Reply warm = server.handle(Shape{{2, 3}});
   EXPECT_TRUE(warm.ok);
@@ -354,11 +365,25 @@ TEST(Serve, WarmColdAndRelabelVerdicts) {
   EXPECT_TRUE(cold.ok);
   EXPECT_EQ(cold.verdict, Verdict::ServedCold);
 
+  // The live plan is cached: a repeat, in either axis order, is warm and
+  // never probes the store again.
+  Reply again = server.handle(Shape{{7, 5}});
+  EXPECT_TRUE(again.ok);
+  EXPECT_EQ(again.verdict, Verdict::ServedWarm);
+  EXPECT_EQ(again.phase.plan_us, 0u);
+  obs::set_enabled(false);
+
   const ServeStats st = server.stats();
-  EXPECT_EQ(st.requests, 3u);
-  EXPECT_EQ(st.warm, 2u);
+  EXPECT_EQ(st.requests, 4u);
+  EXPECT_EQ(st.warm, 3u);
   EXPECT_EQ(st.cold, 1u);
   EXPECT_EQ(st.errors, 0u);
+  // One certified store hit (2x3; 3x2 came from the cache) and one miss
+  // (5x7).
+  EXPECT_EQ(st.store_hits, 1u);
+  EXPECT_EQ(st.store_misses, 1u);
+  EXPECT_EQ(reg_hits.value() - hits0, st.store_hits);
+  EXPECT_EQ(reg_misses.value() - misses0, st.store_misses);
   remove_store(path);
 }
 
@@ -440,6 +465,61 @@ TEST(Serve, OversizedRequestIsAnErrorReplyNotACrash) {
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("2^26"), std::string::npos) << rep.error;
   EXPECT_EQ(server.stats().errors, 1u);
+}
+
+TEST(Serve, ConcurrentRequestsGetTheSerialReplies) {
+  // Cache hits and store lookups take no server lock, so threads race
+  // on the first request of a class. Whoever wins, every reply must be
+  // the plan a serial server gives; only which request pays the cold
+  // or store path may differ.
+  const std::string path = temp_path("concurrent.hjs");
+  remove_store(path);
+  PrecomputeOptions opts;
+  opts.max_nodes = 12;
+  ASSERT_TRUE(precompute(path, opts).complete);
+  const PlanStore store = PlanStore::open(path);
+  // Shapes inside and outside the store, each also in reversed order.
+  std::vector<Shape> shapes;
+  for (const Shape& s : enumerate_canonical_shapes(24, 3)) {
+    SmallVec<u64, 4> rev = s.extents();
+    std::reverse(rev.begin(), rev.end());
+    shapes.push_back(s);
+    shapes.push_back(Shape{std::move(rev)});
+  }
+
+  Server serial(&store);
+  std::vector<Reply> want;
+  for (const Shape& s : shapes) want.push_back(serial.handle(s));
+
+  const PlanStore shared_store = PlanStore::open(path);
+  Server server(&shared_store);
+  constexpr u32 kThreads = 4;
+  std::vector<std::vector<Reply>> got(kThreads);
+  std::vector<std::thread> workers;
+  for (u32 t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      for (const Shape& s : shapes) got[t].push_back(server.handle(s));
+    });
+  for (std::thread& w : workers) w.join();
+
+  for (u32 t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const Reply& a = got[t][i];
+      ASSERT_TRUE(a.ok) << shapes[i].to_string() << ": " << a.error;
+      EXPECT_EQ(a.plan, want[i].plan);
+      EXPECT_EQ(a.cube, want[i].cube);
+      EXPECT_EQ(a.dil, want[i].dil);
+      EXPECT_EQ(a.cong, want[i].cong);
+      EXPECT_EQ(a.wl, want[i].wl);
+    }
+  const ServeStats st = server.stats();
+  EXPECT_EQ(st.requests, u64{kThreads} * shapes.size());
+  EXPECT_EQ(st.warm + st.cold, st.requests);
+  // Each store record is served from disk at least once and each miss
+  // probed at least once; racing first requests may repeat either.
+  EXPECT_GE(st.store_hits, serial.stats().store_hits);
+  EXPECT_GE(st.store_misses, serial.stats().store_misses);
+  remove_store(path);
 }
 
 TEST(BoundedQueue, ShedsWhenFullAndDrainsOnClose) {
