@@ -42,9 +42,9 @@
 //
 // --metrics-out=<file> / --trace-out=<file> (any command) turn the
 // observability layer on and, after the command runs, write the metrics
-// registry as JSON / the span log as Chrome trace_event JSON (load the
-// latter in Perfetto or chrome://tracing). HJ_OBS=1 enables the hooks
-// without writing files.
+// registry as JSON / the captured span events as Chrome trace_event
+// JSON (load the latter in Perfetto or chrome://tracing). HJ_OBS=1
+// enables the hooks without writing files.
 //
 // Live telemetry (DESIGN.md §14): --flight=<file> maps a file-backed
 // flight-recorder ring (the last ~512 events survive kill -9; decode
@@ -175,7 +175,7 @@ void write_obs_exports() {
   if (!g_metrics_out.empty())
     dump(g_metrics_out, obs::Registry::global().to_json());
   if (!g_trace_out.empty())
-    dump(g_trace_out, obs::Trace::global().to_json());
+    dump(g_trace_out, obs::EventLog::global().trace_json());
 }
 
 PlannerOptions planner_options() {

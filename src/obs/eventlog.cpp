@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <string_view>
 
 namespace hj::obs {
 namespace {
@@ -23,6 +24,39 @@ Capture& capture() {
 }
 
 std::atomic<int> g_stream_fd{-1};
+
+/// Decimal digits of `v` into `out` (at least 20 bytes); returns the count.
+std::size_t format_u64(u64 v, char* out) noexcept {
+  char tmp[20];
+  std::size_t n = 0;
+  do {
+    tmp[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v > 0);
+  for (std::size_t i = 0; i < n; ++i) out[i] = tmp[n - 1 - i];
+  return n;
+}
+
+/// The raw JSON value after `key` (given as `,"name":`) in an event line
+/// built by Event, or "" when absent. The leading comma makes the match
+/// exact: inside an escaped string value every '"' follows a backslash.
+std::string_view field(std::string_view line, std::string_view key) {
+  const std::size_t at = line.find(key);
+  if (at == std::string_view::npos) return {};
+  const std::size_t from = at + key.size();
+  std::size_t to = from;
+  if (to < line.size() && line[to] == '"') {
+    for (++to; to < line.size() && line[to] != '"'; ++to)
+      if (line[to] == '\\') ++to;
+    ++to;  // the closing quote
+  } else {
+    while (to < line.size() && line[to] != ',' && line[to] != '}') ++to;
+  }
+  return to <= line.size() ? line.substr(from, to - from) : std::string_view{};
+}
+
+constexpr std::string_view kSpanBegin = "{\"ev\":\"span.begin\"";
+constexpr std::string_view kSpanEnd = "{\"ev\":\"span.end\"";
 
 }  // namespace
 
@@ -106,94 +140,170 @@ void EventLog::clear() {
   c.dropped = 0;
 }
 
+std::string EventLog::trace_json() const {
+  Capture& c = capture();
+  std::lock_guard<std::mutex> lock(c.mu);
+  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
+  bool first = true;
+  for (const auto& [kind, line] : c.lines) {
+    const std::string_view ln = line;
+    const bool begin = ln.starts_with(kSpanBegin);
+    if (!begin && !ln.starts_with(kSpanEnd)) continue;
+    const std::string_view name = field(ln, ",\"name\":");
+    const std::string_view ts = field(ln, ",\"ts_us\":");
+    const std::string_view tid = field(ln, ",\"tid\":");
+    if (name.empty() || ts.empty() || tid.empty()) continue;
+    out += first ? "\n  " : ",\n  ";
+    first = false;
+    out += "{\"name\": ";
+    out += name;
+    out += begin ? ", \"cat\": \"hj\", \"ph\": \"B\", \"ts\": "
+                 : ", \"cat\": \"hj\", \"ph\": \"E\", \"ts\": ";
+    out += ts;
+    out += ", \"pid\": 1, \"tid\": ";
+    out += tid;
+    if (const std::string_view n = field(ln, ",\"n\":"); begin && !n.empty()) {
+      out += ", \"args\": {\"n\": ";
+      out += n;
+      out += '}';
+    }
+    out += '}';
+  }
+  out += first ? "]}\n" : "\n]}\n";
+  return out;
+}
+
 Event::Event(const char* name, Kind kind, Severity sev, const char* component) noexcept
     : kind_(kind) {
-  put_str("{\"ev\":\"");
-  put_escaped(name);
-  put_str("\",\"eid\":\"");
+  if (kind == Kind::Timing) {
+    // Reserve the ts_us/tid tail now, so truncation never eats it.
+    ts_us_ = now_us();
+    tid_ = thread_ordinal();
+    char digits[20];
+    cap_ -= std::strlen(",\"ts_us\":") + format_u64(ts_us_, digits) +
+            std::strlen(",\"tid\":") + format_u64(tid_, digits);
+  }
+  put("{\"ev\":");
+  put_string(name);
   // Fixed-width hex of the FNV-1a id.
+  char eid[9];
   const u32 id = event_id(name);
-  for (int shift = 28; shift >= 0; shift -= 4) put("0123456789abcdef"[(id >> shift) & 0xf]);
-  put_str("\",\"kind\":\"");
-  put_str(kind == Kind::Deterministic ? "det" : "timing");
-  put_str("\",\"sev\":\"");
-  put_str(severity_name(sev));
-  put_str("\",\"comp\":\"");
-  put_escaped(component);
-  put('"');
+  for (int i = 0; i < 8; ++i) eid[i] = "0123456789abcdef"[(id >> (28 - 4 * i)) & 0xf];
+  eid[8] = '\0';
+  kv("eid", eid);
+  kv("kind", kind == Kind::Deterministic ? "det" : "timing");
+  kv("sev", severity_name(sev));
+  kv("comp", component);
+}
+
+Event& Event::number(const char* key, const char* digits, std::size_t n) noexcept {
+  const std::size_t mark = len_;
+  if (!(put(",") && put_string(key) && put(":") && put(digits, n))) len_ = mark;
+  return *this;
 }
 
 Event& Event::kv(const char* key, u64 v) noexcept {
-  put_str(",\"");
-  put_escaped(key);
-  put_str("\":");
-  put_u64(v);
-  return *this;
+  char digits[20];
+  return number(key, digits, format_u64(v, digits));
 }
 
 Event& Event::kv(const char* key, i64 v) noexcept {
-  put_str(",\"");
-  put_escaped(key);
-  put_str("\":");
-  if (v < 0) {
-    put('-');
-    put_u64(static_cast<u64>(-(v + 1)) + 1);
-  } else {
-    put_u64(static_cast<u64>(v));
-  }
-  return *this;
+  char digits[21];
+  if (v >= 0) return number(key, digits, format_u64(static_cast<u64>(v), digits));
+  digits[0] = '-';
+  return number(key, digits,
+                1 + format_u64(static_cast<u64>(-(v + 1)) + 1, digits + 1));
 }
 
 Event& Event::kv(const char* key, const char* v) noexcept {
-  put_str(",\"");
-  put_escaped(key);
-  put_str("\":\"");
-  put_escaped(v == nullptr ? "" : v);
-  put('"');
+  const std::size_t mark = len_;
+  if (!(put(",") && put_string(key) && put(":"))) {
+    len_ = mark;
+    return *this;
+  }
+  const std::size_t value = len_;
+  put_string(v == nullptr ? "" : v);  // an overlong value is cut but closed
+  if (len_ == value) len_ = mark;     // not even "" fit: drop the field
   return *this;
 }
 
 void Event::emit() noexcept {
   // The Kind contract: Deterministic lines must be pure functions of the
-  // workload, so the clock and thread id are Timing-only fields.
+  // workload, so the clock and thread id are Timing-only fields. Their
+  // room was reserved at construction.
   if (kind_ == Kind::Timing) {
-    kv("ts_us", now_us());
-    kv("tid", static_cast<u64>(thread_ordinal()));
+    cap_ = kMaxLine - 1;
+    full_ = false;
+    kv("ts_us", ts_us_);
+    kv("tid", static_cast<u64>(tid_));
   }
-  buf_[len_++] = '}';  // put() caps len_ at kMaxLine-1, so this byte is reserved
+  buf_[len_++] = '}';  // cap_ never exceeds kMaxLine-1, so this byte is reserved
   EventLog::global().publish(kind_, buf_, len_);
 }
 
-void Event::put(char c) noexcept {
-  if (len_ < kMaxLine - 1) buf_[len_++] = c;  // reserve 1 byte for '}'
-}
-
-void Event::put_str(const char* s) noexcept {
-  for (; *s != '\0'; ++s) put(*s);
-}
-
-void Event::put_escaped(const char* s) noexcept {
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\') {
-      put('\\');
-      put(static_cast<char>(c));
-    } else if (c < 0x20) {
-      put(' ');  // control bytes would break the one-line invariant
-    } else {
-      put(static_cast<char>(c));
-    }
+bool Event::put(const char* s, std::size_t n) noexcept {
+  if (full_ || len_ + n > cap_) {
+    full_ = true;
+    return false;
   }
+  std::memcpy(buf_ + len_, s, n);
+  len_ += n;
+  return true;
 }
 
-void Event::put_u64(u64 v) noexcept {
-  char tmp[20];
-  std::size_t n = 0;
-  do {
-    tmp[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v > 0);
-  while (n > 0) put(tmp[--n]);
+bool Event::put_string(const char* s) noexcept {
+  if (full_ || len_ + 2 > cap_) {
+    full_ = true;
+    return false;
+  }
+  buf_[len_++] = '"';
+  while (*s != '\0') {
+    const unsigned char c = static_cast<unsigned char>(*s);
+    if (c >= 0x20 && c < 0x80 && c != '"' && c != '\\') {  // plain byte: the common case
+      if (len_ + 2 > cap_) {  // keep room for the closing quote
+        full_ = true;
+        break;
+      }
+      buf_[len_++] = *s++;
+      continue;
+    }
+    // One whole output unit: an escape pair, a control byte blanked to
+    // ' ' (it would break the one-line invariant), or a UTF-8 sequence.
+    char unit[4];
+    std::size_t in = 1;
+    std::size_t out = 1;
+    if (c == '"' || c == '\\') {
+      unit[0] = '\\';
+      unit[1] = *s;
+      out = 2;
+    } else if (c < 0x20) {
+      unit[0] = ' ';
+    } else {
+      const std::size_t seq = c >= 0xF0 ? 4 : c >= 0xE0 ? 3 : c >= 0xC0 ? 2 : 1;
+      for (out = 0; out < seq && s[out] != '\0'; ++out) unit[out] = s[out];
+      in = out;
+    }
+    if (len_ + out + 1 > cap_) {  // keep room for the closing quote
+      full_ = true;
+      break;
+    }
+    std::memcpy(buf_ + len_, unit, out);
+    len_ += out;
+    s += in;
+  }
+  buf_[len_++] = '"';
+  return !full_;
+}
+
+void SpanGuard::begin(u64 n, bool has_n) noexcept {
+  Event ev("span.begin", Kind::Timing, Severity::Debug, "obs");
+  ev.kv("name", name_);
+  if (has_n) ev.kv("n", n);
+  ev.emit();
+}
+
+void SpanGuard::end() noexcept {
+  Event("span.end", Kind::Timing, Severity::Debug, "obs").kv("name", name_).emit();
 }
 
 }  // namespace hj::obs

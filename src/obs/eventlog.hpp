@@ -1,13 +1,16 @@
 // hjembed: the structured event log — one JSON line per significant
 // state change (a request admitted, a batch checkpointed, an epoch
-// verdict, a cache outcome), built for three consumers at once:
+// verdict, a cache outcome, a trace span opening or closing), built for
+// four consumers at once:
 //
 //   1. the flight recorder: every emitted event is note()'d into the
 //      crash ring, so a postmortem names the in-flight work;
 //   2. a live stream: --events-out appends each line with a single
 //      write(2), so a killed daemon leaves a parseable tail;
 //   3. tests: an in-memory capture (bounded, drop-counted) that the
-//      determinism suite compares bit-for-bit across HJ_THREADS.
+//      determinism suite compares bit-for-bit across HJ_THREADS;
+//   4. --trace-out: trace_json() renders the captured span events as a
+//      Chrome trace_event document.
 //
 // Schema (DESIGN.md §14). Every line is a flat JSON object:
 //
@@ -38,8 +41,23 @@
 // events_on() is false until a sink exists (HJ_OBS, a flight ring, or a
 // stream fd), and constexpr false under HJ_DISABLE_OBS — so an
 // uninstrumented run pays one relaxed load per site and a disabled
-// build pays nothing. Event builds its line in a fixed stack buffer
-// (no allocation on the hot path; overlong payloads are truncated).
+// build pays nothing. Event builds its line in a fixed stack buffer of
+// kMaxLine bytes, the payload of one flight slot, so every sink holds
+// the same whole line (no allocation on the hot path). An overlong
+// payload is cut at a JSON-safe point: a string value is closed early,
+// a field that does not fit is dropped with every field after it, and
+// a Timing line keeps its ts_us/tid, whose room is reserved up front.
+//
+// Trace spans (DESIGN.md §9). HJ_SPAN("plan") / HJ_SPAN_N("plan_batch",
+// n) emit a Timing "span.begin" event when the scope opens and a
+// "span.end" event when it closes:
+//
+//   {"ev":"span.begin",...,"comp":"obs","name":"plan_batch","n":48,
+//    "ts_us":1234,"tid":0}
+//
+// Spans are emitted only while obs::enabled(), so a daemon whose only
+// sink is its flight ring formats none. A killed HJ_OBS=1 process
+// therefore names, in its ring, the spans it was inside when it died.
 #pragma once
 
 #include <cstring>
@@ -91,6 +109,13 @@ class EventLog {
   [[nodiscard]] u64 dropped() const noexcept;
   void clear();
 
+  /// The captured span events as a Chrome trace_event document
+  /// ({"traceEvents": [...]} of "B"/"E" pairs, ts in µs, tid = thread
+  /// ordinal); load it in ui.perfetto.dev or about:tracing. Same-thread
+  /// spans nest by begin/end order, so a plan_batch — plan — verify
+  /// pipeline renders as a flame graph with no parent ids.
+  [[nodiscard]] std::string trace_json() const;
+
   static constexpr std::size_t kCaptureCap = 65536;
 
  private:
@@ -110,10 +135,13 @@ class EventLog {
 
 /// One event under construction: fixed stack buffer, chained kv()s,
 /// emit() closes the object and publishes. Build only inside an
-/// events_on() guard — construction does real formatting work.
+/// events_on() guard — construction does real formatting work. A Timing
+/// event reads its ts_us and tid when it is built.
 class Event {
  public:
-  static constexpr std::size_t kMaxLine = 480;  // < flight::kSlotBytes
+  /// Longest line, excluding '\n': whole in a flight-ring slot, so the
+  /// ring, the stream and the capture all hold the same line.
+  static constexpr std::size_t kMaxLine = flight::kSlotBytes - 1;
 
   Event(const char* name, Kind kind, Severity sev, const char* component) noexcept;
 
@@ -128,18 +156,59 @@ class Event {
   /// the line to EventLog::global().publish().
   void emit() noexcept;
 
-  /// The line so far, without the closing brace (tests).
-  [[nodiscard]] std::string partial() const { return std::string(buf_, len_); }
-
  private:
-  void put(char c) noexcept;
-  void put_str(const char* s) noexcept;
-  void put_escaped(const char* s) noexcept;
-  void put_u64(u64 v) noexcept;
+  bool put(const char* s, std::size_t n) noexcept;
+  bool put(const char* s) noexcept { return put(s, std::strlen(s)); }
+  bool put_string(const char* s) noexcept;
+  Event& number(const char* key, const char* digits, std::size_t n) noexcept;
 
   char buf_[kMaxLine];
   std::size_t len_ = 0;
+  std::size_t cap_ = kMaxLine - 1;  // payload room: '}' and the Timing tail reserved
+  bool full_ = false;               // a field was cut; later fields are dropped
   Kind kind_;
+  u64 ts_us_ = 0;
+  u32 tid_ = 0;
+};
+
+/// RAII trace span: while obs::enabled(), a Timing "span.begin" event
+/// on construction and the matching "span.end" on destruction. Use via
+/// HJ_SPAN below.
+class SpanGuard {
+ public:
+  explicit SpanGuard(const char* name) noexcept : SpanGuard(name, 0, false) {}
+  SpanGuard(const char* name, u64 n) noexcept : SpanGuard(name, n, true) {}
+  SpanGuard(const SpanGuard&) = delete;
+  SpanGuard& operator=(const SpanGuard&) = delete;
+  ~SpanGuard() {
+    if (name_ != nullptr) end();
+  }
+
+ private:
+  SpanGuard(const char* name, u64 n, bool has_n) noexcept
+      : name_(enabled() ? name : nullptr) {
+    if (name_ != nullptr) begin(n, has_n);
+  }
+  void begin(u64 n, bool has_n) noexcept;
+  void end() noexcept;
+
+  const char* name_;  // null when the span was opened with obs off
 };
 
 }  // namespace hj::obs
+
+#define HJ_OBS_CONCAT_INNER(a, b) a##b
+#define HJ_OBS_CONCAT(a, b) HJ_OBS_CONCAT_INNER(a, b)
+
+#ifndef HJ_DISABLE_OBS
+/// Open a named trace span for the rest of the enclosing scope.
+#define HJ_SPAN(name) \
+  ::hj::obs::SpanGuard HJ_OBS_CONCAT(hj_obs_span_, __LINE__){name}
+/// Span with a numeric payload, rendered as args.n in the trace viewer.
+#define HJ_SPAN_N(name, n) \
+  ::hj::obs::SpanGuard HJ_OBS_CONCAT(hj_obs_span_, __LINE__){ \
+      name, static_cast<::hj::u64>(n)}
+#else
+#define HJ_SPAN(name) ((void)0)
+#define HJ_SPAN_N(name, n) ((void)0)
+#endif

@@ -32,9 +32,13 @@
 // (flight.hpp), so the last ~512 events survive a crash. Deterministic
 // events must come from serial/ordered call sites and never carry
 // timestamps; Timing events may be emitted anywhere.
+//
+// Spans are events too: while obs::enabled(), HJ_SPAN emits a Timing
+// "span.begin" event at the top of the scope and "span.end" at its exit,
+// into the same log, ring and stream. There is no second trace buffer:
+// --trace-out renders the event capture (EventLog::trace_json()).
 #pragma once
 
 #include "obs/eventlog.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"

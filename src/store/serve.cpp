@@ -1,6 +1,5 @@
 #include "store/serve.hpp"
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <istream>
@@ -15,40 +14,9 @@
 namespace hj::store {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] u64 elapsed_us(Clock::time_point since) noexcept {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              Clock::now() - since)
-                              .count());
-}
-
-/// Cached handles for the fixed serve counters (the obs.hpp idiom): the
-/// registry map is probed once, at first use, and every later add() is
-/// one relaxed atomic — the per-request lookup the old count(name)
-/// helper paid is gone.
-struct Counters {
-  obs::Counter& store_hits;
-  obs::Counter& store_misses;
-  obs::Counter& store_corrupt;
-  obs::Counter& serve_warm;
-  obs::Counter& serve_cold;
-  obs::Counter& serve_degraded;
-  obs::Counter& serve_shed;
-
-  static Counters& get() {
-    static Counters c{
-        obs::Registry::global().counter("store.hits", obs::Kind::Timing),
-        obs::Registry::global().counter("store.misses", obs::Kind::Timing),
-        obs::Registry::global().counter("store.corrupt", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.warm", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.cold", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.degraded", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.shed", obs::Kind::Timing),
-    };
-    return c;
-  }
-};
+/// Microseconds since `since`, both on the obs clock, so reply phases,
+/// serve.reply events and span timestamps share one epoch.
+[[nodiscard]] u64 elapsed_us(u64 since) noexcept { return obs::now_us() - since; }
 
 }  // namespace
 
@@ -74,7 +42,7 @@ std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
                                                         PhaseUs& ph) {
   const PlanKey cache_key =
       PlanKey::of(canon, /*extend=*/true, opts_.planner.objective);
-  const Clock::time_point t = Clock::now();
+  const u64 t = obs::now_us();
   const std::optional<PlanCacheEntry> cached = cache_.get(cache_key);
   ph.lookup_us += elapsed_us(t);
   if (cached) {
@@ -86,7 +54,7 @@ std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
   PlanResult res;
   if (store_ && canon.dims() <= kMaxRank) {
     const Key key = Key::of(canon);
-    const Clock::time_point tl = Clock::now();
+    const u64 tl = obs::now_us();
     const PlanStore::Lookup hit = store_->lookup(key);
     ph.lookup_us += elapsed_us(tl);
     switch (hit.status) {
@@ -95,7 +63,7 @@ std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
         // advisory only. Re-parse and re-verify before first use; a
         // record that parses but does not verify is as bad as a flipped
         // checksum and gets quarantined the same way.
-        const Clock::time_point tv = Clock::now();
+        const u64 tv = obs::now_us();
         try {
           const std::shared_ptr<ExplicitEmbedding> emb =
               io::from_text(hit.record.emb_text);
@@ -115,12 +83,10 @@ std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
         ph.verify_us += elapsed_us(tv);
         if (verdict == Verdict::ServedWarm) break;
         store_->quarantine(key);
-        if (obs::enabled()) Counters::get().store_corrupt.add();
         verdict = Verdict::Degraded;
         break;
       }
       case PlanStore::Status::Corrupt:
-        if (obs::enabled()) Counters::get().store_corrupt.add();
         verdict = Verdict::Degraded;
         break;
       case PlanStore::Status::Miss:
@@ -132,7 +98,7 @@ std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
   if (verdict != Verdict::ServedWarm) {
     // Live planner fallback (cold miss or degraded corruption path). The
     // planner re-verifies its result by construction.
-    const Clock::time_point tp = Clock::now();
+    const u64 tp = obs::now_us();
     std::lock_guard<std::mutex> lk(mu_);
     res = planner_.plan(canon);
     ph.plan_us += elapsed_us(tp);
@@ -145,7 +111,7 @@ std::shared_ptr<const PlanResult> Server::canonical_plan(const Shape& canon,
 }
 
 Reply Server::handle(const Shape& shape, u64 queue_us) {
-  const Clock::time_point t0 = Clock::now();
+  const u64 t0 = obs::now_us();
   Reply rep;
   rep.phase.queue_us = queue_us;
   StoreProbe probe = StoreProbe::None;
@@ -158,7 +124,7 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
         canonical_plan(canon, verdict, probe, rep.phase);
     // Relabel to the requested axis order; relabel_plan re-verifies, so
     // the reply's certificate always covers the exact shape served.
-    const Clock::time_point tr = Clock::now();
+    const u64 tr = obs::now_us();
     const PlanResult final_plan = relabel_plan(*canon_plan, shape);
     rep.phase.verify_us += elapsed_us(tr);
     rep.verdict = verdict;
@@ -202,42 +168,13 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
   phase_verify_.observe(rep.phase.verify_us);
   phase_plan_.observe(rep.phase.plan_us);
   phase_total_.observe(rep.latency_us);
-  if (obs::enabled()) {
-    static obs::Histogram& lat = obs::Registry::global().histogram(
-        "serve.latency_us", obs::Kind::Timing);
-    static obs::Histogram& h_queue = obs::Registry::global().histogram(
-        "serve.phase_us.queue", obs::Kind::Timing);
-    static obs::Histogram& h_lookup = obs::Registry::global().histogram(
-        "serve.phase_us.lookup", obs::Kind::Timing);
-    static obs::Histogram& h_verify = obs::Registry::global().histogram(
-        "serve.phase_us.verify", obs::Kind::Timing);
-    static obs::Histogram& h_plan = obs::Registry::global().histogram(
-        "serve.phase_us.plan", obs::Kind::Timing);
-    lat.observe(rep.latency_us);
-    h_queue.observe(rep.phase.queue_us);
-    h_lookup.observe(rep.phase.lookup_us);
-    h_verify.observe(rep.phase.verify_us);
-    h_plan.observe(rep.phase.plan_us);
-    Counters& c = Counters::get();
-    if (probe == StoreProbe::Hit) c.store_hits.add();
-    if (probe == StoreProbe::Miss) c.store_misses.add();
-    if (rep.ok) {
-      (rep.verdict == Verdict::ServedWarm ? c.serve_warm
-       : rep.verdict == Verdict::Degraded ? c.serve_degraded
-                                          : c.serve_cold)
-          .add();
-    }
-  }
   return rep;
 }
 
 void Server::note_shed() {
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.requests += 1;
-    stats_.shed += 1;
-  }
-  if (obs::enabled()) Counters::get().serve_shed.add();
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  stats_.requests += 1;
+  stats_.shed += 1;
 }
 
 ServeStats Server::stats() const {
@@ -258,7 +195,7 @@ namespace {
 struct Request {
   u64 id = 0;
   Shape shape;
-  Clock::time_point admitted;
+  u64 admitted = 0;  // obs::now_us() at admission
 };
 
 /// Parse a request line ("3x5x7", "3 5 7", optional leading "plan").
@@ -453,7 +390,7 @@ int run_serve(std::istream& in, std::ostream& out, Server& server) {
           .kv("shape", shape->to_string())
           .emit();
     }
-    if (!queue.try_push(Request{id, *shape, Clock::now()})) {
+    if (!queue.try_push(Request{id, *shape, obs::now_us()})) {
       server.note_shed();
       if (obs::events_on()) {
         obs::Event("serve.shed", obs::Kind::Timing, obs::Severity::Warn,

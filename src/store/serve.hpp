@@ -25,13 +25,15 @@
 //
 // Telemetry (DESIGN.md §14). Every reply carries a per-phase latency
 // breakdown (queue wait / cache+store lookup / re-verify / live plan),
-// the Server keeps ALWAYS-ON per-phase histograms (relaxed atomics, no
-// obs gate) so the live `stats` protocol command reports p50/p99/max
-// per phase from a running daemon, and run_serve emits structured
-// events (serve.request / serve.reply / serve.shed) into the event log
-// + flight recorder so a crashed daemon's postmortem names the
-// in-flight request. `--stats-every=N` additionally emits a one-line
-// JSON snapshot every N processed requests.
+// timed on obs::now_us() so it lines up with span and event timestamps.
+// The Server keeps the one copy of its numbers per instance: ServeStats
+// plus ALWAYS-ON per-phase histograms (relaxed atomics, no obs gate),
+// which the live `stats` protocol command, `--stats-every=N` one-line
+// JSON snapshots and the exit line report. Nothing is mirrored into the
+// global metrics registry. run_serve emits structured events
+// (serve.request / serve.reply / serve.shed) into the event log +
+// flight recorder so a crashed daemon's postmortem names the in-flight
+// request.
 #pragma once
 
 #include <condition_variable>
@@ -131,9 +133,7 @@ class Server {
   /// Always-on per-phase latency histograms ("queue", "lookup",
   /// "verify", "plan", "total"), independent of obs::enabled() — the
   /// live `stats` protocol command and --stats-every snapshots answer
-  /// from these without restarting the daemon. When obs::enabled(),
-  /// the same observations are mirrored into the global registry as
-  /// serve.phase_us.* for --metrics-out exports.
+  /// from these without restarting the daemon.
   [[nodiscard]] std::map<std::string, obs::HistogramSnapshot>
   phase_snapshot() const;
 

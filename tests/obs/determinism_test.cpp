@@ -59,13 +59,15 @@ TEST(ObsDeterminism, DeterministicAggregatesMatchAcrossThreadCounts) {
   for (const u32 threads : {1u, 2u, 8u}) {
     par::set_thread_override(threads);
     obs::Registry::global().reset();
+    obs::EventLog::global().clear();
     for (u64 seed = 1; seed <= 50; ++seed) run_workload(seed);
     runs.push_back(
         obs::Registry::global().snapshot(obs::Kind::Deterministic));
+    EXPECT_EQ(obs::EventLog::global().dropped(), 0u) << threads;
   }
   par::set_thread_override(0);
   obs::set_enabled(false);
-  obs::Trace::global().clear();
+  obs::EventLog::global().clear();
 
   ASSERT_FALSE(runs[0].counters.empty());
   ASSERT_FALSE(runs[0].histograms.empty());
@@ -96,12 +98,13 @@ TEST(ObsDeterminism, DeterministicEventStreamsMatchAcrossThreadCounts) {
     obs::Registry::global().reset();
     obs::EventLog::global().clear();
     for (u64 seed = 1; seed <= 20; ++seed) run_workload(seed);
+    // Span events share the bounded capture: a drop could hide a Det line.
+    EXPECT_EQ(obs::EventLog::global().dropped(), 0u) << threads;
     streams.push_back(obs::EventLog::global().deterministic_text());
   }
   par::set_thread_override(0);
   obs::set_enabled(false);
   obs::EventLog::global().clear();
-  obs::Trace::global().clear();
 
   ASSERT_FALSE(streams[0].empty());
   // The batch-summary event is Det and fires once per plan_batch call.
@@ -119,7 +122,8 @@ TEST(ObsDeterminism, TimingMetricsAreExcludedFromTheContract) {
       obs::Registry::global().snapshot(obs::Kind::Deterministic);
   const auto all = obs::Registry::global().snapshot();
   obs::set_enabled(false);
-  obs::Trace::global().clear();
+  EXPECT_EQ(obs::EventLog::global().dropped(), 0u);
+  obs::EventLog::global().clear();
   // plancache hit counts depend on worker scheduling: Timing by design.
   EXPECT_EQ(det.counters.count("plancache.hits"), 0u);
   EXPECT_EQ(all.counters.count("plancache.hits"), 1u);

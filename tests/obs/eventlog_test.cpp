@@ -97,16 +97,107 @@ TEST(EventLog, EscapesQuotesBackslashesAndControlBytes) {
       << events[0];
 }
 
+/// One flat JSON object: opens with '{', closes with '}', and every
+/// string is closed — quotes balance once escaped ones are skipped, and
+/// no backslash dangles at a cut.
+::testing::AssertionResult well_formed(const std::string& line) {
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}')
+    return ::testing::AssertionFailure() << "not one object: " << line;
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == '\\') {
+      if (!in_string || i + 1 >= line.size() - 1)
+        return ::testing::AssertionFailure() << "dangling \\ at " << i << ": " << line;
+      ++i;
+    } else if (line[i] == '"') {
+      in_string = !in_string;
+    }
+  }
+  if (in_string)
+    return ::testing::AssertionFailure() << "unterminated string: " << line;
+  return ::testing::AssertionSuccess();
+}
+
 TEST(EventLog, OverlongPayloadIsTruncatedButStillClosed) {
   CaptureScope scope;
   obs::Event("big", obs::Kind::Deterministic, obs::Severity::Info, "test")
       .kv("k", std::string(2 * obs::Event::kMaxLine, 'z'))
+      .kv("after", u64{1})
+      .emit();
+  // A value of escape pairs: the cut must not split one.
+  obs::Event("esc", obs::Kind::Deterministic, obs::Severity::Info, "test")
+      .kv("k", std::string(2 * obs::Event::kMaxLine, '\\'))
+      .emit();
+  obs::Event("esc", obs::Kind::Deterministic, obs::Severity::Info, "test")
+      .kv("pad", "p")
+      .kv("k", std::string(2 * obs::Event::kMaxLine, '\\'))
+      .emit();
+  const std::vector<std::string> events = obs::EventLog::global().events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].size(), obs::Event::kMaxLine);
+  EXPECT_EQ(events[0].substr(events[0].size() - 2), "\"}");
+  EXPECT_EQ(events[0].find("after"), std::string::npos);  // dropped past the cut
+  for (const std::string& e : events) {
+    EXPECT_LE(e.size(), obs::Event::kMaxLine);
+    EXPECT_EQ(e.substr(e.size() - 2), "\"}") << e;
+    EXPECT_TRUE(well_formed(e));
+  }
+}
+
+TEST(EventLog, OverlongTimingLineKeepsItsClockFields) {
+  CaptureScope scope;
+  obs::Event("big", obs::Kind::Timing, obs::Severity::Info, "test")
+      .kv("id", u64{7})
+      .kv("shape", std::string(2 * obs::Event::kMaxLine, 'x'))
+      .kv("us", u64{5})
       .emit();
   const std::vector<std::string> events = obs::EventLog::global().events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].size(), obs::Event::kMaxLine);
-  EXPECT_EQ(events[0].front(), '{');
-  EXPECT_EQ(events[0].back(), '}');  // the reserved byte survives overflow
+  const std::string& e = events[0];
+  EXPECT_LE(e.size(), obs::Event::kMaxLine);
+  EXPECT_TRUE(well_formed(e));
+  EXPECT_NE(e.find(",\"id\":7,\"shape\":\"xxx"), std::string::npos) << e;
+  EXPECT_EQ(e.find("\"us\""), std::string::npos) << e;
+  EXPECT_NE(e.find("\",\"ts_us\":"), std::string::npos) << e;
+  EXPECT_NE(e.find(",\"tid\":"), std::string::npos) << e;
+}
+
+TEST(EventLog, LineCapFitsOneFlightSlot) {
+  static_assert(obs::Event::kMaxLine + 1 == obs::flight::kSlotBytes);
+  // An overlong line lands byte-identical, and parseable, in the stream
+  // and in the ring: both sinks share the one cap.
+  const std::string ring = temp_path("cap.ring");
+  const std::string path = temp_path("cap.jsonl");
+  ASSERT_TRUE(obs::flight::init_file(ring, /*slots=*/4));
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  obs::EventLog::global().set_stream_fd(fd);
+  std::string shape;
+  for (int i = 0; i < 30; ++i) shape += "1x";
+  shape += "3x5x7";
+  obs::Event("serve.reply", obs::Kind::Timing, obs::Severity::Info, "serve")
+      .kv("id", u64{1})
+      .kv("shape", shape)
+      .kv("verdict", "served-cold")
+      .kv("us", u64{123456})
+      .kv("queue_us", u64{12})
+      .kv("lookup_us", u64{3})
+      .kv("verify_us", u64{4567})
+      .kv("plan_us", u64{118000})
+      .emit();
+  obs::EventLog::global().set_stream_fd(-1);
+  ::close(fd);
+
+  std::ifstream in(path);
+  std::string streamed;
+  ASSERT_TRUE(std::getline(in, streamed));
+  const std::vector<std::string> ringed = obs::flight::read_ring(ring);
+  ASSERT_EQ(ringed.size(), 1u);
+  EXPECT_EQ(ringed[0], streamed);
+  EXPECT_TRUE(well_formed(streamed));
+  EXPECT_LE(streamed.size(), obs::Event::kMaxLine);
+  std::remove(path.c_str());
+  std::remove(ring.c_str());
 }
 
 TEST(EventLog, CaptureIsBoundedAndCountsDrops) {
